@@ -13,7 +13,7 @@
 //	rskipfi -bench sgemm [-n 1000] [-ar 0.2] [-schemes unsafe,swiftr,rskip] [-seed N]
 //	        [-fault-kind seu|skip|multibit] [-skip-width N] [-bit-width N] [-exhaustive]
 //	        [-stratify] [-incremental] [-result-cache-dir dir]
-//	        [-backend compiled|fast|reference]
+//	        [-backend compiled|reference]
 //	        [-advise] [-advice-dir dir]
 //	        [-json] [-checkpoint path] [-timeout 30s] [-target-ci 2.0] [-workers N]
 //	        [-trace out.jsonl] [-trace-tree] [-metrics out.json] [-pprof addr]
@@ -229,7 +229,7 @@ func main() {
 		schemes   = flag.String("schemes", "unsafe,swiftr,rskip", "comma-separated schemes")
 		seed      = flag.Int64("seed", 20200222, "fault sampling seed")
 		faultKind = flag.String("fault-kind", "seu", "threat model: seu (paper's single-event-upset mix), skip (instruction-skip bursts) or multibit (adjacent-bit upsets)")
-		backend   = flag.String("backend", "compiled", "execution engine: fast, compiled or reference (all bit-identical; compiled is the campaign default)")
+		backend   = flag.String("backend", "", "execution engine: compiled or reference (bit-identical; empty means compiled)")
 		skipWidth = flag.Int("skip-width", 1, "consecutive instructions suppressed per skip fault")
 		bitWidth  = flag.Int("bit-width", 2, "adjacent bits flipped per multibit fault")
 		exhaust   = flag.Bool("exhaustive", false, "enumerate every fault site instead of sampling n faults (skip/multibit only; -n is ignored)")

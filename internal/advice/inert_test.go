@@ -35,7 +35,6 @@ func TestAdvisorInert(t *testing.T) {
 		be   machine.Backend
 	}{
 		{"reference", machine.BackendReference},
-		{"fast", machine.BackendFast},
 		{"compiled", machine.BackendCompiled},
 	}
 	for _, bk := range backends {

@@ -9,16 +9,16 @@ import (
 	"rskip/internal/machine"
 )
 
-// TestCompiledBackendFaster is the CI performance bar for the
-// closure-threaded backend: over interleaved min-of-N kernel runs in
-// one process, compiled must beat the pre-decoded fast interpreter by
-// a coarse margin. The bar is deliberately loose — the measured gap
-// is ~1.3-1.5× but shared CI machines are noisy, so the test takes
-// the minimum of several interleaved rounds (immune to machine-wide
-// drift during the test) and only demands 1.05×. A regression that
-// makes the compiled backend pointless (at or below fast) fails; a
-// few percent of erosion does not flake the build.
-func TestCompiledBackendFaster(t *testing.T) {
+// TestCompiledFasterThanReference is the CI performance bar for the
+// production engine: over interleaved min-of-N kernel runs in one
+// process, the compiled engine must beat the seed reference
+// interpreter by at least 2×. The measured gap is ~2.6-2.9× on a
+// 2-vCPU box, and shared CI machines are noisy, so the test takes the
+// minimum of several interleaved rounds (immune to machine-wide drift
+// during the test) and leaves headroom below the measured ratio. A
+// regression that erodes most of the compiled engine's advantage
+// fails; a few percent of noise does not flake the build.
+func TestCompiledFasterThanReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing bar skipped in -short")
 	}
@@ -42,22 +42,22 @@ func TestCompiledBackendFaster(t *testing.T) {
 	}
 	// Warm both engines: the decoded and compiled code objects are
 	// built lazily and cached on the Program.
-	run(machine.BackendFast)
+	run(machine.BackendReference)
 	run(machine.BackendCompiled)
 
 	const rounds = 7
-	minFast, minComp := time.Duration(1<<62), time.Duration(1<<62)
+	minRef, minComp := time.Duration(1<<62), time.Duration(1<<62)
 	for i := 0; i < rounds; i++ {
-		if d := run(machine.BackendFast); d < minFast {
-			minFast = d
+		if d := run(machine.BackendReference); d < minRef {
+			minRef = d
 		}
 		if d := run(machine.BackendCompiled); d < minComp {
 			minComp = d
 		}
 	}
-	ratio := float64(minFast) / float64(minComp)
-	t.Logf("sgemm min-of-%d: fast %v, compiled %v (%.2fx)", rounds, minFast, minComp, ratio)
-	if ratio < 1.05 {
-		t.Errorf("compiled backend is not meaningfully faster than fast: %.2fx (want >= 1.05x)", ratio)
+	ratio := float64(minRef) / float64(minComp)
+	t.Logf("sgemm min-of-%d: reference %v, compiled %v (%.2fx)", rounds, minRef, minComp, ratio)
+	if ratio < 2.0 {
+		t.Errorf("compiled engine is not meaningfully faster than reference: %.2fx (want >= 2.0x)", ratio)
 	}
 }

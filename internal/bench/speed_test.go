@@ -28,9 +28,8 @@ func buildFor(b *testing.B, name string) (*core.Program, bench.Instance) {
 // BenchmarkStep measures interpreter throughput as ns per simulated
 // dynamic instruction: one full kernel run per iteration (machine
 // construction, setup and teardown included — that is what a campaign
-// pays per injection). The compiled/fast/reference triple is the
-// speedup each execution backend buys over the seed per-instruction
-// interpreter.
+// pays per injection). The compiled/reference pair is the speedup the
+// production engine buys over the seed per-instruction interpreter.
 //
 // Profile the hot path with:
 //
@@ -43,9 +42,8 @@ func BenchmarkStep(b *testing.B) {
 			label string
 			opts  core.RunOpts
 		}{
-			{"compiled", core.RunOpts{Backend: machine.BackendCompiled}},
-			{"fast", core.RunOpts{Backend: machine.BackendFast}},
-			{"reference", core.RunOpts{Reference: true}},
+			{"compiled", core.RunOpts{}},
+			{"reference", core.RunOpts{Backend: machine.BackendReference}},
 		} {
 			b.Run(name+"/"+mode.label, func(b *testing.B) {
 				var instrs uint64
@@ -68,8 +66,9 @@ func BenchmarkStep(b *testing.B) {
 
 // BenchmarkCampaign measures end-to-end fault-injection throughput —
 // plans drawn, machines built, faults injected, outcomes classified —
-// in runs per second. This is the number that decides whether a
-// million-run campaign is an overnight job or a coffee break.
+// in runs per second, on the default (compiled) engine every campaign
+// caller gets. This is the number that decides whether a million-run
+// campaign is an overnight job or a coffee break.
 func BenchmarkCampaign(b *testing.B) {
 	p, inst := buildFor(b, "conv1d")
 	b.ResetTimer()

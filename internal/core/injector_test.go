@@ -44,7 +44,7 @@ func TestInjectorReplicaEquality(t *testing.T) {
 		{Kind: machine.FaultResultBit, Target: 5, Bit: 3}, // repeat: same plan, later replica
 	}
 
-	for _, be := range []machine.Backend{machine.BackendFast, machine.BackendCompiled} {
+	for _, be := range []machine.Backend{machine.BackendCompiled, machine.BackendReference} {
 		for _, s := range []Scheme{Unsafe, RSkip} {
 			inj := p.NewInjector(s)
 			for i, plan := range plans {

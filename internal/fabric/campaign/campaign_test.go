@@ -73,97 +73,118 @@ func (c *crashingRunner) RunShard(ctx context.Context, sh fabric.Shard, hb fabri
 // simulated nodes — each node with its own independently prepared
 // Executor — plus an injected worker death mid-shard must produce a
 // Result bit-identical to the single-node fault.Campaign, across
-// three kernels and three schemes.
+// three kernels and three schemes for a sampled SEU campaign, and for
+// an exhaustive single-skip enumeration (whose Result must carry the
+// Exhaustive flag on both paths).
 func TestDistributedMatchesSingleNode(t *testing.T) {
-	kernels := []string{"musum", "mudot", "mumax"}
-	schemes := []core.Scheme{core.Unsafe, core.SWIFTR, core.RSkip}
-	for _, kernel := range kernels {
-		for _, s := range schemes {
-			t.Run(kernel+"/"+s.String(), func(t *testing.T) {
-				t.Parallel()
-				p, inst := program(t, kernel)
-				cfg := fault.Config{N: 60, Seed: 11, Workers: 2, Batch: 16}
-
-				want, err := fault.Campaign(context.Background(), p, s, inst, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// Coordinator side: its own executor derives the plan
-				// key and owns the merge.
-				xc, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				merger := NewMerger(xc)
-				coord := fabric.NewCoordinator(
-					fabric.Plan{Key: xc.Key(), N: xc.N(), ShardSize: 7},
-					fabric.Options{LeaseTTL: 30 * time.Millisecond, OnComplete: merger.Add},
-				)
-
-				// Node A crashes mid-shard after one clean shard; node
-				// B survives and must steal A's abandoned lease.
-				xa, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				xb, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if xa.Key() != xc.Key() || xb.Key() != xc.Key() {
-					t.Fatalf("independently prepared executors disagree on the plan key")
-				}
-				ctxA, cancelA := context.WithCancel(context.Background())
-				defer cancelA()
-				ra := &crashingRunner{inner: NewRunner(xa, 5), x: xa, cancel: cancelA, fuse: 1}
-
-				var wg sync.WaitGroup
-				wg.Add(2)
-				go func() {
-					defer wg.Done()
-					// The crash surfaces as ctx.Err() from node A.
-					if err := fabric.RunLocal(ctxA, coord, 2, "nodeA", ra); !errors.Is(err, context.Canceled) {
-						t.Errorf("node A exited %v, want context.Canceled", err)
-					}
-				}()
-				go func() {
-					defer wg.Done()
-					if err := fabric.RunLocal(context.Background(), coord, 2, "nodeB", NewRunner(xb, 5)); err != nil {
-						t.Errorf("node B: %v", err)
-					}
-				}()
-				wg.Wait()
-
-				if st := coord.Stats(); st.LeasesExpired < 1 {
-					t.Fatalf("stats = %+v, want at least one stolen lease from the crashed node", st)
-				}
-				got, err := merger.Result()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("distributed result diverged from single-node:\n got %+v\nwant %+v", got, want)
-				}
-
-				// Cross-check: per-shard aggregates composed through the
-				// partition-sum identity match the merged counts.
-				var parts []fault.Result
-				for _, sh := range coord.Plan().Shards() {
-					recs := make([]fault.RunRecord, xc.N())
-					copy(recs[sh.Lo:sh.Hi], merger.recs[sh.Lo:sh.Hi])
-					part, err := xc.Aggregate(recs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					parts = append(parts, part)
-				}
-				comp := result.ComposeCounts(s, parts)
-				if comp.N != want.N || comp.Counts != want.Counts || comp.Fired != want.Fired {
-					t.Fatalf("composed shard counts diverged:\n got %+v\nwant %+v", comp, want)
-				}
-			})
+	configs := []struct {
+		prefix  string
+		kernels []string
+		schemes []core.Scheme
+		cfg     fault.Config
+	}{
+		{"", []string{"musum", "mudot", "mumax"}, []core.Scheme{core.Unsafe, core.SWIFTR, core.RSkip},
+			fault.Config{N: 60, Seed: 11, Workers: 2, Batch: 16}},
+		// UNSAFE musum's 3,034 skip sites already take the whole
+		// distributed path; SWIFT-R and RSkip enumerate 7-9k sites and
+		// cost ~35 s each under -race.
+		{"exhaustive-skip/", []string{"musum"}, []core.Scheme{core.Unsafe},
+			fault.Config{Mix: fault.Mix{Skip: 1}, Exhaustive: true, Workers: 2, Batch: 16}},
+	}
+	for _, c := range configs {
+		for _, kernel := range c.kernels {
+			for _, s := range c.schemes {
+				t.Run(c.prefix+kernel+"/"+s.String(), func(t *testing.T) {
+					t.Parallel()
+					p, inst := program(t, kernel)
+					testDistributedMatches(t, p, s, inst, c.cfg)
+				})
+			}
 		}
+	}
+}
+
+// testDistributedMatches runs one campaign single-node and across two
+// simulated nodes, one of which crashes mid-shard, and requires
+// bit-identical Results.
+func testDistributedMatches(t *testing.T, p *core.Program, s core.Scheme, inst bench.Instance, cfg fault.Config) {
+	want, err := fault.Campaign(context.Background(), p, s, inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Coordinator side: its own executor derives the plan
+	// key and owns the merge.
+	xc, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merger := NewMerger(xc)
+	coord := fabric.NewCoordinator(
+		fabric.Plan{Key: xc.Key(), N: xc.N(), ShardSize: 7},
+		fabric.Options{LeaseTTL: 30 * time.Millisecond, OnComplete: merger.Add},
+	)
+
+	// Node A crashes mid-shard after one clean shard; node
+	// B survives and must steal A's abandoned lease.
+	xa, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xb, err := fault.NewExecutor(context.Background(), p, s, inst, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xa.Key() != xc.Key() || xb.Key() != xc.Key() {
+		t.Fatalf("independently prepared executors disagree on the plan key")
+	}
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	ra := &crashingRunner{inner: NewRunner(xa, 5), x: xa, cancel: cancelA, fuse: 1}
+
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		// The crash surfaces as ctx.Err() from node A.
+		if err := fabric.RunLocal(ctxA, coord, 2, "nodeA", ra); !errors.Is(err, context.Canceled) {
+			t.Errorf("node A exited %v, want context.Canceled", err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		if err := fabric.RunLocal(context.Background(), coord, 2, "nodeB", NewRunner(xb, 5)); err != nil {
+			t.Errorf("node B: %v", err)
+		}
+	}()
+	wg.Wait()
+
+	if st := coord.Stats(); st.LeasesExpired < 1 {
+		t.Fatalf("stats = %+v, want at least one stolen lease from the crashed node", st)
+	}
+	got, err := merger.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("distributed result diverged from single-node:\n got %+v\nwant %+v", got, want)
+	}
+
+	// Cross-check: per-shard aggregates composed through the
+	// partition-sum identity match the merged counts.
+	var parts []fault.Result
+	for _, sh := range coord.Plan().Shards() {
+		recs := make([]fault.RunRecord, xc.N())
+		copy(recs[sh.Lo:sh.Hi], merger.recs[sh.Lo:sh.Hi])
+		part, err := xc.Aggregate(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	comp := result.ComposeCounts(s, parts)
+	if comp.N != want.N || comp.Counts != want.Counts || comp.Fired != want.Fired {
+		t.Fatalf("composed shard counts diverged:\n got %+v\nwant %+v", comp, want)
 	}
 }
 

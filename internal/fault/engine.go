@@ -250,7 +250,6 @@ batches:
 
 	res := e.aggregate(stop)
 	res.EarlyStopped = earlyStopped
-	res.Exhaustive = cfg.Exhaustive
 	if runErr != nil {
 		return res, fmt.Errorf("fault: campaign interrupted after %d/%d runs: %w", res.N, cfg.N, runErr)
 	}
@@ -489,7 +488,7 @@ func (e *engine) aggregate(stop int) Result {
 // array, and the fabric merge feeds it records reassembled from
 // shards — identical inputs, identical fold, identical figures.
 func (e *engine) aggregateRecords(recs []RunRecord, stop int) Result {
-	res := Result{Scheme: e.s, Requested: e.cfg.N}
+	res := Result{Scheme: e.s, Requested: e.cfg.N, Exhaustive: e.cfg.Exhaustive}
 	if e.strata != nil {
 		// Fresh copies: aggregate runs repeatedly (per batch, final)
 		// and must not accumulate into shared skeletons.

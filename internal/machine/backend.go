@@ -3,72 +3,45 @@ package machine
 import "fmt"
 
 // Backend selects which of the machine's execution engines runs the
-// module. All backends are observationally identical — counters,
-// cycles, outputs and fault outcomes match bit for bit (the three-way
-// golden-counters differential sweep in internal/bench proves it) —
-// they differ only in speed:
+// module. Both are observationally identical — counters, cycles,
+// outputs and fault outcomes match bit for bit (the golden-counters
+// differential sweep in internal/bench proves it) — they differ only
+// in speed:
 //
-//   - BackendFast: the pre-decoded block interpreter (runFast). The
-//     default; ~5-7× the reference.
-//   - BackendCompiled: closure-threaded code compiled per basic block
-//     from the pre-decoded form, with per-segment batched accounting.
-//     The fastest path; campaigns should use it.
-//   - BackendReference: the seed per-instruction interpreter (step).
-//     The executable spec the other two are differentially tested
-//     against.
+//   - BackendCompiled — closure-threaded code compiled per basic block
+//     from the pre-decoded form, with per-segment batched accounting
+//     and an exact per-instruction fallback (careful.go). The zero
+//     value, and the engine every production caller runs.
+//   - BackendReference — the seed per-instruction interpreter (step).
+//     The executable spec the compiled engine is differentially
+//     tested against, and the only engine that records RegionTrace.
 type Backend uint8
 
-// Backends. BackendAuto is the zero value so an unset field resolves
-// to the surrounding default (the pre-decoded interpreter, or the
-// program-level backend in core).
+// Backends. BackendCompiled is the zero value, so an unset field means
+// the production engine.
 const (
-	BackendAuto Backend = iota
-	BackendFast
-	BackendCompiled
+	BackendCompiled Backend = iota
 	BackendReference
 )
 
 func (b Backend) String() string {
-	switch b {
-	case BackendAuto:
-		return "auto"
-	case BackendFast:
-		return "fast"
-	case BackendCompiled:
-		return "compiled"
-	case BackendReference:
-		return "reference"
+	if names := [...]string{"compiled", "reference"}; int(b) < len(names) {
+		return names[b]
 	}
 	return fmt.Sprintf("Backend(%d)", uint8(b))
 }
 
 // ParseBackend maps the CLI/wire backend names to the enum. The empty
-// string and "auto" mean "whatever the surrounding configuration
-// defaults to" (BackendAuto).
+// string, "auto" and the retired "fast" all mean the compiled engine:
+// job specs and fabric leases written before the pre-decoded
+// interpreter was folded into it may still carry "fast", and the two
+// were bit-identical, so the alias is exact.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "fast":
-		return BackendFast, nil
-	case "compiled":
+	case "", "auto", "compiled", "fast":
 		return BackendCompiled, nil
 	case "reference":
 		return BackendReference, nil
 	}
-	return BackendAuto, fmt.Errorf("machine: unknown backend %q (want fast, compiled or reference)", s)
-}
-
-// resolve returns the backend a config selects: the legacy Reference
-// bool wins (it predates Backend and the differential tests rely on
-// it forcing the spec interpreter), then an explicit Backend, then
-// the pre-decoded default.
-func (cfg *Config) resolveBackend() Backend {
-	if cfg.Reference {
-		return BackendReference
-	}
-	if cfg.Backend == BackendAuto {
-		return BackendFast
-	}
-	return cfg.Backend
+	return BackendCompiled, fmt.Errorf("machine: unknown backend %q (want compiled or reference)", s)
 }

@@ -12,13 +12,14 @@ func TestParseBackend(t *testing.T) {
 		want Backend
 		ok   bool
 	}{
-		{"", BackendAuto, true},
-		{"auto", BackendAuto, true},
-		{"fast", BackendFast, true},
+		{"", BackendCompiled, true},
+		{"auto", BackendCompiled, true},
 		{"compiled", BackendCompiled, true},
+		{"fast", BackendCompiled, true}, // retired engine name, kept as an alias
 		{"reference", BackendReference, true},
-		{"native", BackendAuto, false},
-		{"Fast", BackendAuto, false},
+		{"native", BackendCompiled, false},
+		{"Fast", BackendCompiled, false},
+		{"turbo", BackendCompiled, false},
 	}
 	for _, c := range cases {
 		got, err := ParseBackend(c.in)
@@ -29,7 +30,7 @@ func TestParseBackend(t *testing.T) {
 		if c.ok && got != c.want {
 			t.Errorf("ParseBackend(%q) = %v, want %v", c.in, got, c.want)
 		}
-		if c.ok && got.String() != c.in && c.in != "" {
+		if c.ok && got.String() != c.in && (c.in == "compiled" || c.in == "reference") {
 			t.Errorf("round trip: %v.String() = %q, want %q", got, got.String(), c.in)
 		}
 	}
@@ -99,30 +100,25 @@ func runFaultOn(t *testing.T, mod *ir.Module, fi int, plan *FaultPlan, be Backen
 	return res, vals, err
 }
 
-var allBackends = []Backend{BackendFast, BackendCompiled, BackendReference}
-
 // TestMultiBitWrapBackendsAgree injects width-2 upsets at bit 31 (the
 // wrap case) across a sweep of targets and demands bit-identical
-// outcomes from all three execution backends.
+// outcomes from the compiled engine and the reference interpreter.
 func TestMultiBitWrapBackendsAgree(t *testing.T) {
 	mod, fi := faultHarness(t)
 	for target := uint64(0); target < 48; target += 5 {
 		plan := &FaultPlan{Kind: FaultMultiBit, Target: target, Bit: 31, Width: 2}
 		ref, refVals, refErr := runFaultOn(t, mod, fi, plan, BackendReference)
-		for _, be := range []Backend{BackendFast, BackendCompiled} {
-			res, vals, err := runFaultOn(t, mod, fi, plan, be)
-			if (err == nil) != (refErr == nil) ||
-				(err != nil && err.Error() != refErr.Error()) {
-				t.Fatalf("target %d backend %v: err %v, reference err %v", target, be, err, refErr)
-			}
-			if res != ref {
-				t.Fatalf("target %d backend %v: result %+v, reference %+v", target, be, res, ref)
-			}
-			for i := range refVals {
-				if vals[i] != refVals[i] {
-					t.Fatalf("target %d backend %v: out[%d] = %d, reference %d",
-						target, be, i, vals[i], refVals[i])
-				}
+		res, vals, err := runFaultOn(t, mod, fi, plan, BackendCompiled)
+		if (err == nil) != (refErr == nil) ||
+			(err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("target %d: err %v, reference err %v", target, err, refErr)
+		}
+		if res != ref {
+			t.Fatalf("target %d: result %+v, reference %+v", target, res, ref)
+		}
+		for i := range refVals {
+			if vals[i] != refVals[i] {
+				t.Fatalf("target %d: out[%d] = %d, reference %d", target, i, vals[i], refVals[i])
 			}
 		}
 	}
@@ -131,8 +127,8 @@ func TestMultiBitWrapBackendsAgree(t *testing.T) {
 // TestSkipFinalTerminatorWrapsToBlockZero pins the semantics of
 // skipping the terminator of a function's final block: control falls
 // through to (block+1) mod len(blocks) — block 0 — so the body runs a
-// second time and the Ret executes on the second pass. All three
-// backends must implement the wrap identically.
+// second time and the Ret executes on the second pass. Both backends
+// must implement the wrap identically.
 func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 	b := ir.NewBuilder("k", nil, ir.Int)
 	c := b.ConstInt(42)
@@ -158,7 +154,7 @@ func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 		return res, m.FaultFired(), err
 	}
 
-	clean, _, err := run(nil, BackendFast)
+	clean, _, err := run(nil, BackendCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,22 +176,20 @@ func TestSkipFinalTerminatorWrapsToBlockZero(t *testing.T) {
 		t.Fatalf("instrs after wrap = %d, want %d (clean %d doubled)",
 			ref.Instrs, 2*clean.Instrs, clean.Instrs)
 	}
-	for _, be := range []Backend{BackendFast, BackendCompiled} {
-		res, fired, err := run(plan, be)
-		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
-		}
-		if !fired {
-			t.Fatalf("backend %v: fault did not fire", be)
-		}
-		if res != ref {
-			t.Fatalf("backend %v: result %+v, reference %+v", be, res, ref)
-		}
+	res, fired, err := run(plan, BackendCompiled)
+	if err != nil {
+		t.Fatalf("compiled: %v", err)
+	}
+	if !fired {
+		t.Fatal("compiled: fault did not fire")
+	}
+	if res != ref {
+		t.Fatalf("compiled: result %+v, reference %+v", res, ref)
 	}
 }
 
 // TestBackendsAgreeCleanRun is the cheap always-on slice of the
-// golden three-way sweep: one clean kernel run per backend must agree
+// golden-counters sweep: one clean kernel run per backend must agree
 // exactly (the full fault-probe sweep lives in internal/bench and is
 // skipped under -short).
 func TestBackendsAgreeCleanRun(t *testing.T) {
@@ -204,18 +198,16 @@ func TestBackendsAgreeCleanRun(t *testing.T) {
 	if refErr != nil {
 		t.Fatal(refErr)
 	}
-	for _, be := range []Backend{BackendFast, BackendCompiled} {
-		res, vals, err := runFaultOn(t, mod, fi, nil, be)
-		if err != nil {
-			t.Fatalf("backend %v: %v", be, err)
-		}
-		if res != ref {
-			t.Fatalf("backend %v: result %+v, reference %+v", be, res, ref)
-		}
-		for i := range refVals {
-			if vals[i] != refVals[i] {
-				t.Fatalf("backend %v: out[%d] = %d, reference %d", be, i, vals[i], refVals[i])
-			}
+	res, vals, err := runFaultOn(t, mod, fi, nil, BackendCompiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != ref {
+		t.Fatalf("compiled: result %+v, reference %+v", res, ref)
+	}
+	for i := range refVals {
+		if vals[i] != refVals[i] {
+			t.Fatalf("compiled: out[%d] = %d, reference %d", i, vals[i], refVals[i])
 		}
 	}
 }

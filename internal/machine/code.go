@@ -6,7 +6,7 @@ import (
 	"rskip/internal/ir"
 )
 
-// Code is a module pre-decoded for fast interpretation: every function
+// Code is a module pre-decoded for execution: every function
 // flattened into contiguous decoded-instruction arrays with the
 // per-instruction μop weight, the first three register operands, and
 // branch targets resolved out of the ir.Instr indirections. A Code is
@@ -56,7 +56,7 @@ type dinstr struct {
 	n     uint8 // uops(op)
 	lat   uint8 // latency(op)
 	nargs uint8
-	// brk marks instructions after which the fast block loop must
+	// brk marks instructions after which block execution must
 	// return to the outer dispatch: terminators (the block ended) and
 	// calls/runtime hooks (the frame stack may have changed or been
 	// reallocated).

@@ -6,13 +6,13 @@ import (
 	"rskip/internal/ir"
 )
 
-// The compiled backend (BackendCompiled) threads each basic block into
-// closures: one Go func value per instruction, capturing the decoded
-// operands (register indexes, immediates, latency) as locals, so the
-// per-instruction dispatch switch and the repeated dinstr field loads
-// of the fast interpreter disappear. Two further mechanisms remove the
-// per-instruction and per-block bookkeeping that dominates the fast
-// interpreter's profile on the short blocks real kernels have:
+// The compiled backend (BackendCompiled, the production engine)
+// threads each basic block into closures: one Go func value per
+// instruction, capturing the decoded operands (register indexes,
+// immediates, latency) as locals, so there is no per-instruction
+// dispatch switch and no repeated dinstr field loads. Two further
+// mechanisms remove the per-instruction and per-block bookkeeping
+// that would otherwise dominate on the short blocks real kernels have:
 //
 //   - Lazy attribution. Instructions are grouped into *segments* —
 //     maximal check-free runs ending at a break instruction
@@ -20,28 +20,28 @@ import (
 //     the counters the machine itself reads mid-run (Dyn for the
 //     hang/cancel checks, Region for fault targeting) plus one
 //     execution count in segHits; the per-opcode, per-tag and Internal
-//     attribution — five adds per instruction on the fast path — is
-//     folded in once per Run as Σ hits × precomputed-segment-delta,
-//     which is arithmetically the identical total.
+//     attribution — five adds per instruction when charged one at a
+//     time — is folded in once per Run as Σ hits × precomputed-
+//     segment-delta, which is arithmetically the identical total.
 //
-//   - Trigger thresholds. The fast path's per-block check battery
-//     (cancel poll due? budget covers block? fault target inside
-//     block? burst in flight?) collapses into two compares against
-//     precomputed conservative thresholds: dynTrigger (the earliest
-//     Dyn at which the budget, a cancel poll or tracing could matter
-//     for *any* block, via the module-wide maximum block weight) and
+//   - Trigger thresholds. The per-block check battery (cancel poll
+//     due? budget covers block? fault target inside block? burst in
+//     flight?) collapses into two compares against precomputed
+//     conservative thresholds: dynTrigger (the earliest Dyn at which
+//     the budget, a cancel poll or tracing could matter for *any*
+//     block, via the module-wide maximum block weight) and
 //     regionTrigger (likewise for the armed fault's target). Until a
 //     trigger fires, blocks run check-free; once one fires, the exact
-//     per-block logic — kept in lockstep with runBlock — decides, and
-//     recomputes the thresholds. Entering the exact path early is
-//     always safe: it produces bit-identical counters, cycles and
-//     outcomes, just more slowly.
+//     per-block logic in runBlockSlow decides — stepping through the
+//     per-instruction fallback in careful.go where a check could
+//     trigger — and recomputes the thresholds. Entering the exact path
+//     early is always safe: it produces bit-identical counters, cycles
+//     and outcomes, just more slowly.
 //
 // Counter totals, cycles, outputs and fault outcomes are bit-identical
-// to the fast and reference backends — the three-way golden sweep in
-// internal/bench proves it. (The only deliberate non-contract freedom
-// is cancellation polling cadence, which the fast path already hoists
-// to block boundaries.)
+// to the reference interpreter — the golden sweep in internal/bench
+// proves it. (The only deliberate non-contract freedom is cancellation
+// polling cadence, hoisted to block boundaries.)
 //
 // Closures capture only immutable per-module data, never machine
 // state, so one compiled body (Code.compiledForm) is shared by every
@@ -281,7 +281,7 @@ func (m *Machine) runBlockC() error {
 		return m.runSegAt(f, si)
 	}
 	// Mid-segment resume (careful mode cleared inside a block): finish
-	// it through the fast path's per-instruction loop, which charges
+	// it through the per-instruction fallback loop, which charges
 	// the identical totals one instruction at a time. The trigger check
 	// above proved the rest of the block is safe.
 	m.invalidateNseg()
@@ -300,8 +300,9 @@ func (m *Machine) invalidateNseg() {
 }
 
 // runBlockSlow is the exact block-entry path, taken while a trigger
-// threshold is met. Its checks are kept in lockstep with runBlock
-// (fastexec.go) — any divergence breaks the bit-identity contract.
+// threshold is met. It decides per block whether any per-instruction
+// check (hang budget, fault target, skip burst, trace) could trigger
+// and, if so, steps the block exactly (stepCareful in careful.go).
 func (m *Machine) runBlockSlow(f *frame) error {
 	blk := &m.code.fns[f.fi].blocks[f.block]
 	inRegion := m.blockInRegion(f)
@@ -387,7 +388,7 @@ func (m *Machine) unwindSegCharge(f *frame, seg *cseg, si int32, erroring int) {
 
 // foldSegCounters folds the lazy per-segment execution counts into the
 // counter struct — hits × precomputed delta lands on the identical
-// totals the fast path accumulates per instruction — and clears them
+// totals runPlain accumulates per instruction — and clears them
 // for the next run. Called once per top-level Run, so Counters is
 // fully consistent whenever a caller can observe it.
 func (m *Machine) foldSegCounters() {
@@ -458,7 +459,7 @@ func issue3(a0, a1, a2 ir.Reg, lat uint64) cop {
 }
 
 // compileIns compiles one pre-decoded instruction to a closure. Every
-// case mirrors execD (fastexec.go) exactly: the timing-model issue
+// case mirrors execD (careful.go) exactly: the timing-model issue
 // happens first with the same operand-ready cycle, then the operation,
 // in the identical order — cycles and traps stay bit-identical. n0/n1
 // are the nextHints successor segments for branches, calls and hooks.

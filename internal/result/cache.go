@@ -194,6 +194,14 @@ func (c *Cache) GetOrRun(key string, run func() (fault.Result, error)) (res faul
 		}
 		return fault.Result{}, false, f.err
 	}
+	// A flight for key may have finished between the Get above and
+	// the lock. It stores its result before leaving inflight, so the
+	// store now holds it: re-check before computing a second time.
+	if got, gerr := c.Get(key); got != nil && gerr == nil {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return *got, true, nil
+	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.mu.Unlock()

@@ -40,9 +40,9 @@ type configJSON struct {
 	FixedStride   int      `json:"fixed_stride,omitempty"`
 	IssueWidth    int      `json:"issue_width,omitempty"`
 	EnableCFC     bool     `json:"enable_cfc,omitempty"`
-	// Backend selects the execution engine ("fast", "compiled" or
-	// "reference"; absent or "auto" means the server default). All
-	// backends are bit-identical, so it never affects the build cache.
+	// Backend selects the execution engine ("compiled" or "reference";
+	// absent, "auto" or the retired "fast" mean compiled). Both engines
+	// are bit-identical, so it never affects the build cache.
 	Backend string `json:"backend,omitempty"`
 }
 

@@ -409,7 +409,7 @@ func TestCampaignLifecycle(t *testing.T) {
 		t.Errorf("class counts sum to %d, want %d", sum, n)
 	}
 
-	// Reference: the same campaign, run directly.
+	// The expected result: the same campaign, run directly.
 	b, err := bench.ByName("conv1d")
 	if err != nil {
 		t.Fatal(err)
@@ -605,13 +605,18 @@ func mustJSON(t *testing.T, v any) []byte {
 func TestSyncSaturation429(t *testing.T) {
 	s, ts := newTestServer(t, server.Config{SyncLimit: 1})
 	_ = s
-	// Hold the only slot with a slow perf run in the background.
+	// Hold the only slot with a slow perf run in the background. A
+	// poll below can win the slot first, turning the run away with a
+	// 429; the holder then retries until it holds the slot itself.
 	started := make(chan struct{})
-	done := make(chan int)
+	done := make(chan int, 1)
 	go func() {
 		close(started)
-		code := postJSON(t, ts.URL+"/v1/run",
-			map[string]any{"bench": "sgemm", "scheme": "unsafe", "scale": "perf", "timeout_ms": 5000}, nil)
+		code := http.StatusTooManyRequests
+		for code == http.StatusTooManyRequests {
+			code = postJSON(t, ts.URL+"/v1/run",
+				map[string]any{"bench": "sgemm", "scheme": "unsafe", "scale": "perf", "timeout_ms": 5000}, nil)
+		}
 		done <- code
 	}()
 	<-started
@@ -865,9 +870,10 @@ func TestCampaignFaultModels(t *testing.T) {
 }
 
 // TestRunBackendField exercises the wire backend selector: every
-// backend must produce identical simulated counters for the same
-// request (they are bit-identical engines), and an unknown name is a
-// structured 400 at submit time.
+// accepted name — including "fast", the retired engine name that
+// pre-upgrade job specs may carry — must produce identical simulated
+// counters for the same request (the engines are bit-identical), and
+// an unknown name is a structured 400 at submit time.
 func TestRunBackendField(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{})
 	type counts struct {

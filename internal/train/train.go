@@ -114,6 +114,7 @@ func Collect(mod *ir.Module, kernel int, setup func(mem *machine.Memory) []uint6
 	m := machine.New(mod, machine.Config{Hooks: col, TraceFn: -1})
 	args := setup(m.Mem)
 	res, err := m.Run(kernel, args)
+	m.Release()
 	if err != nil {
 		return nil, machine.Counters{}, err
 	}
@@ -171,11 +172,14 @@ func RunContext(ctx context.Context, mod *ir.Module, kernel int, instances []fun
 	trainRuns := met.Counter("train_runs_total", "training collection runs")
 	trainSamples := met.Counter("train_samples_total", "loop output samples collected")
 
+	// One decode (and closure compile) serves every instance; each
+	// machine's arena goes back to the pool after its run.
+	code := machine.CompileCode(mod)
 	instanceMark := map[int][]int{}
 	for idx, setup := range instances {
 		_, spc := obs.Start(ctx, "train/collect")
 		spc.SetAttr("instance", idx)
-		mcfg := machine.Config{Hooks: col, TraceFn: -1, Metrics: met}
+		mcfg := machine.Config{Hooks: col, TraceFn: -1, Metrics: met, Code: code}
 		if memoFn >= 0 {
 			mcfg.TraceFn = memoFn
 			mcfg.CallTracer = func(args []uint64, ret uint64) {
@@ -194,6 +198,7 @@ func RunContext(ctx context.Context, mod *ir.Module, kernel int, instances []fun
 		m := machine.New(mod, mcfg)
 		args := setup(m.Mem)
 		res, err := m.Run(kernel, args)
+		m.Release()
 		if err != nil {
 			spc.End()
 			return nil, fmt.Errorf("train: training run failed: %w", err)
